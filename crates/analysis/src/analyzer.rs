@@ -152,14 +152,10 @@ pub struct VolumeAnalyzer {
     read_cold: u64,
     write_cold: u64,
 
-    /// Scratch buffers reused across batched calls (write-mask words,
-    /// inter-arrival deltas, and the per-span block bookkeeping feeding
-    /// [`ReuseStack::touch_batch`]).
+    /// Scratch buffers reused across batched calls (write-mask words
+    /// and inter-arrival deltas).
     scratch_mask: Vec<u64>,
     scratch_deltas: Vec<u64>,
-    span_prevs: Vec<usize>,
-    span_slots: Vec<(u32, u8, u32)>,
-    span_dists: Vec<u64>,
 
     /// Set once another partition has been folded in: reuse-stack
     /// positions of merged-in blocks are partition-local, so further
@@ -228,9 +224,6 @@ impl VolumeAnalyzer {
             write_cold: 0,
             scratch_mask: Vec::new(),
             scratch_deltas: Vec::new(),
-            span_prevs: Vec::new(),
-            span_slots: Vec::new(),
-            span_dists: Vec::new(),
             merged: false,
         })
     }
@@ -482,23 +475,16 @@ impl VolumeAnalyzer {
 
     /// Block-granular state: adjacency, updates, WSS, reuse.
     ///
-    /// The request's span is processed in two passes. Pass 1 resolves
-    /// every touched block's chunk slot and previous stack position
-    /// (claiming slots for cold blocks); the span's blocks are distinct
-    /// consecutive ids, so no entry depends on an earlier entry's
-    /// update and [`ReuseStack::touch_batch`] can then resolve all warm
-    /// ranks in one amortized sweep. Pass 2 applies the per-block
-    /// metric updates in span order — metric state is disjoint from the
-    /// stack, so the result is bit-identical to the sequential
-    /// interleaving.
+    /// One pass over the request's span: each block resolves its chunk
+    /// slot, takes its reuse distance from the stack
+    /// ([`ReuseStack::touch`] for a re-touch, [`ReuseStack::touch_cold`]
+    /// for a first touch) and has its metric state updated at once. A
+    /// span retouched in order hits the stack's consecutive-run fast
+    /// path, so it pays for one rank walk rather than one per block.
     #[inline]
     fn touch_blocks(&mut self, op: OpKind, offset: u64, len: u32, ts: Timestamp) {
         let bs = self.config.block_size;
         let end_offset = offset + u64::from(len);
-        let mut prevs = mem::take(&mut self.span_prevs);
-        let mut slots = mem::take(&mut self.span_slots);
-        prevs.clear();
-        slots.clear();
         // Spans cover consecutive blocks, so the chunk lookup amortizes
         // over up to 16 touches; `cur` caches the active chunk index.
         let mut cur_chunk = u64::MAX;
@@ -520,8 +506,11 @@ impl VolumeAnalyzer {
             }
             let chunk = &mut self.chunks[cur];
             let slot = (b % CHUNK_BLOCKS) as usize;
-            if chunk.occupied & (1 << slot) != 0 {
-                prevs.push(chunk.states[slot].reuse_pos as usize);
+            let (warm, new_pos) = if chunk.occupied & (1 << slot) != 0 {
+                let (distance, pos) = self
+                    .reuse_stack
+                    .touch(chunk.states[slot].reuse_pos as usize);
+                (Some(distance), pos as u32)
             } else {
                 chunk.occupied |= 1 << slot;
                 self.distinct_blocks += 1;
@@ -529,37 +518,10 @@ impl VolumeAnalyzer {
                     OpKind::Read => self.read_cold += 1,
                     OpKind::Write => self.write_cold += 1,
                 }
-                prevs.push(ReuseStack::COLD);
-            }
-            slots.push((cur as u32, slot as u8, overlap as u32));
-        }
-
-        if prevs.len() == 1 {
-            // Single-block request: the sequential touch keeps its O(1)
-            // consecutive-run fast path.
-            let prev = prevs[0];
-            let (warm, new_pos) = if prev != ReuseStack::COLD {
-                let (distance, pos) = self.reuse_stack.touch(prev);
-                (Some(distance), pos as u32)
-            } else {
                 (None, self.reuse_stack.touch_cold() as u32)
             };
-            self.apply_block_touch(op, ts, slots[0], warm, new_pos);
-        } else if !prevs.is_empty() {
-            let mut dists = mem::take(&mut self.span_dists);
-            let first_new = self.reuse_stack.touch_batch(&prevs, &mut dists);
-            for (i, &target) in slots.iter().enumerate() {
-                let warm = if prevs[i] != ReuseStack::COLD {
-                    Some(dists[i])
-                } else {
-                    None
-                };
-                self.apply_block_touch(op, ts, target, warm, (first_new + i) as u32);
-            }
-            self.span_dists = dists;
+            self.apply_block_touch(op, ts, (cur, slot, overlap), warm, new_pos);
         }
-        self.span_prevs = prevs;
-        self.span_slots = slots;
 
         // Dead stack positions cost one bit each; compact once most are
         // dead so memory stays O(distinct blocks). Distances are
@@ -581,7 +543,7 @@ impl VolumeAnalyzer {
 
     /// Applies one block touch's metric updates: reuse-distance and
     /// adjacency histograms, per-block byte/update accounting and the
-    /// state refresh. `target` is the pass-1 record (chunk index, slot,
+    /// state refresh. `target` is the block's (chunk index, slot,
     /// overlap bytes); `warm` carries the reuse distance for a
     /// re-touched block, `None` for a first touch (whose cold counters
     /// were already bumped while claiming the slot).
@@ -590,13 +552,12 @@ impl VolumeAnalyzer {
         &mut self,
         op: OpKind,
         ts: Timestamp,
-        target: (u32, u8, u32),
+        target: (usize, usize, u64),
         warm: Option<u64>,
         new_pos: u32,
     ) {
         let (ci, slot, overlap) = target;
-        let overlap = u64::from(overlap);
-        let state = &mut self.chunks[ci as usize].states[slot as usize];
+        let state = &mut self.chunks[ci].states[slot];
         if let Some(distance) = warm {
             // Reuse distance over the unified stream, split per op; the
             // block's stack position rides in its state so the chunk

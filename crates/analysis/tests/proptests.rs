@@ -31,6 +31,71 @@ prop_compose! {
     }
 }
 
+/// Block space of [`arb_compacting_trace`]: at most this many blocks are
+/// ever live in the analyzer's reuse stack.
+const MRC_SPACE_BLOCKS: u64 = 128;
+
+/// One volume's time-sorted requests of 1–64 blocks each (byte-granular,
+/// so spans start and end mid-block) over a [`MRC_SPACE_BLOCKS`]-block
+/// space, until at least 1 100 block touches. With at most 128 live
+/// positions, crossing the stack's 1 024-position compaction floor means
+/// at most ⅛ are live, so `should_compact` fires at least once.
+fn arb_compacting_trace() -> impl Strategy<Value = Vec<IoRequest>> {
+    proptest::strategy::FnStrategy(|rng: &mut proptest::test_runner::TestRng| {
+        let target = 1_100 + rng.below(1_500);
+        let (mut touches, mut reqs) = (0u64, Vec::new());
+        while touches < target {
+            let blocks = 1 + rng.below(64);
+            let start = rng.below(MRC_SPACE_BLOCKS - blocks + 1);
+            let head = rng.below(4096);
+            let tail = if blocks == 1 {
+                head + 1 + rng.below(4096 - head)
+            } else {
+                1 + rng.below(4096)
+            };
+            let op = if rng.below(3) == 0 {
+                OpKind::Write
+            } else {
+                OpKind::Read
+            };
+            reqs.push(IoRequest::new(
+                VolumeId::new(0),
+                op,
+                start * 4096 + head,
+                ((blocks - 1) * 4096 + tail - head) as u32,
+                Timestamp::from_micros(reqs.len() as u64 * 1_000),
+            ));
+            touches += blocks;
+        }
+        reqs
+    })
+}
+
+/// LRU hit counts per op straight from Mattson's definition: a naive
+/// recency list over every block touch of the trace (reads and writes
+/// share one stack). `hits[op][c]` counts that op's touches hitting a
+/// `c`-block cache, for `c` in `0..=capacity`.
+fn naive_lru_hits(requests: &[IoRequest], capacity: usize) -> [(Vec<u64>, u64); 2] {
+    let mut out = [(vec![0; capacity + 1], 0), (vec![0; capacity + 1], 0)];
+    let mut lru: Vec<u64> = Vec::new();
+    for req in requests {
+        let (hits, total) = &mut out[usize::from(req.op() == OpKind::Write)];
+        for block in BlockSize::DEFAULT.span_of(req) {
+            let b = block.get();
+            *total += 1;
+            if let Some(i) = lru.iter().position(|&x| x == b) {
+                let distance = lru.len() - 1 - i;
+                for h in hits.iter_mut().skip(distance + 1) {
+                    *h += 1;
+                }
+                lru.remove(i);
+            }
+            lru.push(b);
+        }
+    }
+    out
+}
+
 /// Brute-force per-volume reference computed straight from the
 /// definition.
 struct Reference {
@@ -118,6 +183,32 @@ proptest! {
             prop_assert_eq!(m.rar_hist.total(), r.pair_counts[2]);
             prop_assert_eq!(m.war_hist.total(), r.pair_counts[3]);
             prop_assert_eq!(m.update_interval_hist.total(), r.update_intervals);
+        }
+    }
+
+    /// The per-op LRU miss-ratio curves (Finding 15 / Fig. 18) equal a
+    /// naive Mattson list at every capacity from 1 to wss + 1, on
+    /// multi-block spans and across reuse-stack compactions. Streaming
+    /// and sequential drivers share the analyzer, so this is the check
+    /// that pins its reuse distances to the definition.
+    #[test]
+    fn analyzer_mrc_matches_naive_lru(reqs in arb_compacting_trace()) {
+        let touches: usize = reqs.iter().map(|r| BlockSize::DEFAULT.span_of(r).count()).sum();
+        prop_assert!(touches >= 1_024, "only {} touches", touches);
+        let trace = Trace::from_requests(reqs);
+        let metrics = analyze_trace(&trace, &AnalysisConfig::default()).expect("valid config");
+        prop_assert_eq!(metrics.len(), 1);
+        let m = &metrics[0];
+        prop_assert!(m.wss_blocks <= MRC_SPACE_BLOCKS);
+        let top = m.wss_blocks as usize + 1;
+        let [reads, writes] = naive_lru_hits(trace.volume(m.id).unwrap().requests(), top);
+        for (name, mrc, (hits, total)) in [("read", &m.read_mrc, reads), ("write", &m.write_mrc, writes)] {
+            prop_assert_eq!(mrc.total_accesses(), total, "{} accesses", name);
+            let cumulative = mrc.cumulative_hits();
+            for c in 1..=top {
+                let got = cumulative[c.min(cumulative.len() - 1)];
+                prop_assert_eq!(got, hits[c], "{} hits at capacity {}", name, c);
+            }
         }
     }
 

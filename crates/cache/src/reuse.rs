@@ -90,15 +90,6 @@ pub struct ReuseStack {
     last_cleared: usize,
     /// The rank that was computed for `last_cleared`.
     last_rank: u64,
-    /// Reused allocations for [`touch_batch`](Self::touch_batch):
-    /// `(prev, batch index)` sorted by prev.
-    scratch_sorted: Vec<(usize, u32)>,
-    /// `rank_pre` per sorted warm entry.
-    scratch_ranks: Vec<u64>,
-    /// Batch index → sorted index for warm entries.
-    scratch_sorted_of: Vec<u32>,
-    /// Fenwick tree counting clears below each sorted rank.
-    scratch_fenwick: Vec<u32>,
 }
 
 impl Default for ReuseStack {
@@ -113,10 +104,6 @@ impl Default for ReuseStack {
             next_pos: 0,
             last_cleared: usize::MAX,
             last_rank: 0,
-            scratch_sorted: Vec::new(),
-            scratch_ranks: Vec::new(),
-            scratch_sorted_of: Vec::new(),
-            scratch_fenwick: Vec::new(),
         }
     }
 }
@@ -324,172 +311,6 @@ impl ReuseStack {
         // match against a pre-compaction clear.
         self.last_cleared = usize::MAX;
         self.last_rank = 0;
-    }
-
-    /// Sentinel for a first-touch entry in a [`touch_batch`]
-    /// (Self::touch_batch) slice.
-    pub const COLD: usize = usize::MAX;
-
-    /// Processes a batch of touches in one pass, bit-identical to the
-    /// equivalent sequence of [`touch`](Self::touch) /
-    /// [`touch_cold`](Self::touch_cold) calls.
-    ///
-    /// `prevs[i]` is the previous position of touch `i` (in access
-    /// order), or [`COLD`](Self::COLD) for a first touch. Warm entries
-    /// must be live and **distinct** — a batch must not retouch a block
-    /// it already touched, so callers batch at most one request span
-    /// (whose blocks are distinct by construction).
-    ///
-    /// Returns the position assigned to the first touch; touch `i`
-    /// receives position `return + i`, exactly as the sequential calls
-    /// would. `distances[i]` is the reuse distance of touch `i`, with
-    /// `u64::MAX` marking cold (infinite-distance) touches.
-    ///
-    /// Instead of one full rank walk per warm touch, the warm previous
-    /// positions are sorted and ranked in a single ascending sweep of
-    /// the counter hierarchy (each level's prefix is accumulated once),
-    /// then each touch's rank is adjusted for the clears that sequential
-    /// processing would have applied before it:
-    ///
-    /// ```text
-    /// distance_i = live_0 + colds_before_i − (rank_pre(p_i) − clears_below_i)
-    /// ```
-    ///
-    /// where `rank_pre` is the rank in the untouched bitset and
-    /// `clears_below_i` counts earlier batch touches whose previous
-    /// position sits below `p_i` (appends land strictly above every
-    /// ranked position, so they never perturb a rank).
-    pub fn touch_batch(&mut self, prevs: &[usize], distances: &mut Vec<u64>) -> usize {
-        distances.clear();
-        let first_new = self.next_pos;
-        if prevs.is_empty() {
-            return first_new;
-        }
-
-        // Collect warm touches as (prev, batch index), sorted by prev
-        // for the single-sweep rank pass.
-        let mut sorted = std::mem::take(&mut self.scratch_sorted);
-        sorted.clear();
-        for (i, &p) in prevs.iter().enumerate() {
-            if p != Self::COLD {
-                debug_assert!(p < self.next_pos, "warm prev out of range");
-                debug_assert!(
-                    self.words[p / 64] & (1 << (p % 64)) != 0,
-                    "warm prev must be live"
-                );
-                sorted.push((p, i as u32));
-            }
-        }
-        sorted.sort_unstable();
-        let k = sorted.len();
-
-        // One ascending descent over the hierarchy: rank_pre of every
-        // sorted prev, reusing the running prefix between queries.
-        let mut ranks = std::mem::take(&mut self.scratch_ranks);
-        ranks.clear();
-        self.rank_sorted_sweep(&sorted, &mut ranks);
-
-        // sorted_of[i] = index of batch touch i in `sorted` (warm only).
-        let mut sorted_of = std::mem::take(&mut self.scratch_sorted_of);
-        sorted_of.clear();
-        sorted_of.resize(prevs.len(), u32::MAX);
-        for (r, &(_, i)) in sorted.iter().enumerate() {
-            sorted_of[i as usize] = r as u32;
-        }
-
-        // Fenwick tree over sorted ranks counts, for each warm touch in
-        // access order, how many earlier warm touches cleared a position
-        // below it.
-        let mut fen = std::mem::take(&mut self.scratch_fenwick);
-        fen.clear();
-        fen.resize(k + 1, 0);
-
-        let live0 = self.live as u64;
-        let mut colds = 0u64;
-        let mut last_warm: Option<(usize, u64)> = None;
-        for (i, &p) in prevs.iter().enumerate() {
-            if p == Self::COLD {
-                colds += 1;
-                distances.push(u64::MAX);
-            } else {
-                let r = sorted_of[i] as usize;
-                let clears_below = {
-                    let mut s = 0u64;
-                    let mut j = r;
-                    while j > 0 {
-                        s += u64::from(fen[j]);
-                        j &= j - 1;
-                    }
-                    s
-                };
-                let rank_now = ranks[r] - clears_below;
-                distances.push(live0 + colds - rank_now);
-                last_warm = Some((p, rank_now));
-                let mut j = r + 1;
-                while j <= k {
-                    fen[j] += 1;
-                    j += j & j.wrapping_neg();
-                }
-            }
-        }
-
-        // Apply all clears, then all appends. Sequential processing
-        // interleaves them, but clears touch only pre-existing words and
-        // appends only ever set the next fresh position, so the final
-        // bitset, counters and position assignment are identical.
-        for &(p, _) in &sorted {
-            self.clear(p);
-        }
-        for _ in 0..prevs.len() {
-            self.push_live();
-        }
-
-        // Seed the consecutive-run fast path exactly as the last
-        // sequential warm touch would have (appends after it do not
-        // change rank(last_cleared)).
-        if let Some((p, rank)) = last_warm {
-            self.last_cleared = p;
-            self.last_rank = rank;
-        }
-
-        self.scratch_sorted = sorted;
-        self.scratch_ranks = ranks;
-        self.scratch_sorted_of = sorted_of;
-        self.scratch_fenwick = fen;
-        first_new
-    }
-
-    /// Ranks every `(pos, _)` in ascending `pos` order with one
-    /// monotone cursor sweep over the counter hierarchy. Equivalent to
-    /// calling [`rank_inclusive`](Self::rank_inclusive) per position,
-    /// but each hierarchy prefix is accumulated once for the whole
-    /// batch instead of once per query.
-    fn rank_sorted_sweep(&self, sorted: &[(usize, u32)], out: &mut Vec<u64>) {
-        let mut w_cur = 0usize;
-        let mut sum = 0u64;
-        for &(pos, _) in sorted {
-            let target = pos / 64;
-            while w_cur < target {
-                if w_cur & 4095 == 0 && w_cur + 4096 <= target {
-                    sum += u64::from(self.l4[w_cur >> 12]);
-                    w_cur += 4096;
-                } else if w_cur & 511 == 0 && w_cur + 512 <= target {
-                    sum += u64::from(self.l3[w_cur >> 9]);
-                    w_cur += 512;
-                } else if w_cur & 63 == 0 && w_cur + 64 <= target {
-                    sum += u64::from(self.l2[w_cur >> 6]);
-                    w_cur += 64;
-                } else if w_cur & 7 == 0 && w_cur + 8 <= target {
-                    sum += u64::from(self.l1[w_cur >> 3]);
-                    w_cur += 8;
-                } else {
-                    sum += u64::from(self.words[w_cur].count_ones());
-                    w_cur += 1;
-                }
-            }
-            let mask = u64::MAX >> (63 - pos % 64);
-            out.push(sum + u64::from((self.words[target] & mask).count_ones()));
-        }
     }
 }
 
@@ -843,110 +664,101 @@ mod tests {
     }
 
     #[test]
-    fn touch_batch_empty_and_all_cold() {
+    fn run_fast_path_rank_matches_full_walk() {
+        // Span-shaped stream (runs of consecutive blocks, the access
+        // pattern the analyzer produces): whenever `touch` would reuse
+        // the cached rank, it must equal a full rank walk — also right
+        // after a compaction renumbers every position. Distances must
+        // match the naive LRU-stack model throughout.
         let mut s = ReuseStack::new();
-        let mut d = Vec::new();
-        assert_eq!(s.touch_batch(&[], &mut d), 0);
-        assert!(d.is_empty());
-        let first = s.touch_batch(&[ReuseStack::COLD; 3], &mut d);
-        assert_eq!(first, 0);
-        assert_eq!(d, vec![u64::MAX; 3]);
-        assert_eq!(s.live(), 3);
-        assert_eq!(s.positions(), 3);
-    }
-
-    #[test]
-    fn touch_batch_matches_sequential_touches() {
-        // Drive a batched stack and a sequential stack through the same
-        // deterministic access stream (batches of distinct blocks, the
-        // span-shaped access pattern the analyzer produces) and demand
-        // bit-identical distances, positions, and internal state —
-        // including across compactions.
-        let mut seq = ReuseStack::new();
-        let mut bat = ReuseStack::new();
-        let mut seq_pos: std::collections::HashMap<u64, usize> = Default::default();
-        let mut bat_pos: std::collections::HashMap<u64, usize> = Default::default();
+        let mut pos: std::collections::HashMap<u64, usize> = Default::default();
+        let mut lru: Vec<u64> = Vec::new();
+        let (mut fast, mut compactions) = (0, 0);
         let mut rng = 0x9e37u64;
-        let mut dists = Vec::new();
         for _ in 0..2_000 {
             rng = rng
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
             let start = (rng >> 33) % 200;
             let span = 1 + (rng >> 20) % 8;
-            let blocks: Vec<u64> = (start..start + span).collect();
-
-            // Sequential reference.
-            let mut want: Vec<u64> = Vec::new();
-            for &blk in &blocks {
-                match seq_pos.get(&blk).copied() {
+            for blk in start..start + span {
+                let expected = lru.iter().rev().position(|&x| x == blk);
+                let got = match pos.get(&blk).copied() {
                     Some(prev) => {
-                        let (d, np) = seq.touch(prev);
-                        want.push(d);
-                        seq_pos.insert(blk, np);
+                        if prev != 0 && prev - 1 == s.last_cleared {
+                            assert_eq!(s.last_rank, s.rank_inclusive(prev));
+                            fast += 1;
+                        }
+                        let (d, np) = s.touch(prev);
+                        pos.insert(blk, np);
+                        Some(d as usize)
                     }
                     None => {
-                        want.push(u64::MAX);
-                        seq_pos.insert(blk, seq.touch_cold());
+                        pos.insert(blk, s.touch_cold());
+                        None
                     }
+                };
+                assert_eq!(got, expected, "block {blk}");
+                if let Some(i) = lru.iter().position(|&x| x == blk) {
+                    lru.remove(i);
                 }
+                lru.push(blk);
             }
-
-            // Batched.
-            let prevs: Vec<usize> = blocks
-                .iter()
-                .map(|blk| bat_pos.get(blk).copied().unwrap_or(ReuseStack::COLD))
-                .collect();
-            let first = bat.touch_batch(&prevs, &mut dists);
-            for (i, &blk) in blocks.iter().enumerate() {
-                bat_pos.insert(blk, first + i);
-            }
-
-            assert_eq!(dists, want);
-            assert_eq!(bat.live(), seq.live());
-            assert_eq!(bat.positions(), seq.positions());
-            assert_eq!(bat.words, seq.words);
-            assert_eq!(bat.last_cleared, seq.last_cleared);
-            assert_eq!(bat.last_rank, seq.last_rank);
-
-            assert_eq!(bat.should_compact(), seq.should_compact());
-            if bat.should_compact() {
-                let st = seq.compaction_table();
-                for p in seq_pos.values_mut() {
-                    *p = st[*p] as usize;
+            if s.should_compact() {
+                let table = s.compaction_table();
+                for p in pos.values_mut() {
+                    *p = table[*p] as usize;
                 }
-                seq.rebuild_compacted();
-                let bt = bat.compaction_table();
-                for p in bat_pos.values_mut() {
-                    *p = bt[*p] as usize;
-                }
-                bat.rebuild_compacted();
+                s.rebuild_compacted();
+                compactions += 1;
             }
         }
+        assert!(fast > 1_000, "fast path fired only {fast} times");
+        assert!(compactions > 0, "stream never compacted");
     }
 
     #[test]
-    fn touch_batch_interleaves_with_single_touches() {
-        // The run fast path seeded by touch_batch must hand over to
-        // plain touch() without perturbing distances.
-        let mut a = ReuseStack::new();
-        let mut b = ReuseStack::new();
-        let pa: Vec<usize> = (0..10).map(|_| a.touch_cold()).collect();
-        let pb: Vec<usize> = (0..10).map(|_| b.touch_cold()).collect();
-        let mut d = Vec::new();
-        let first = a.touch_batch(&[pa[3], pa[4], pa[5]], &mut d);
-        let (d3, _) = b.touch(pb[3]);
-        let (d4, _) = b.touch(pb[4]);
-        let (d5, n5) = b.touch(pb[5]);
-        assert_eq!(d, vec![d3, d4, d5]);
-        // Consecutive follow-up touch takes the fast path in both.
-        let (da, _) = a.touch(pa[6]);
-        let (db, _) = b.touch(pb[6]);
-        assert_eq!(da, db);
-        // And the relocated block reuses correctly.
-        let (da, _) = a.touch(first + 2);
-        let (db, _) = b.touch(n5);
-        assert_eq!(da, db);
+    fn run_fast_path_hands_over_between_runs() {
+        // A cold touch inside a run keeps the cached rank valid (appends
+        // land above it), an out-of-order touch starts a new run, and a
+        // compaction drops the cache. Distances stay exact across each
+        // hand-over.
+        let mut s = ReuseStack::new();
+        let p: Vec<usize> = (0..10).map(|_| s.touch_cold()).collect();
+        // Run 3, 4, 5: each sees blocks 6..=9 plus the run blocks
+        // already moved to the top.
+        assert_eq!(s.touch(p[3]), (6, 10));
+        assert_eq!(s.touch(p[4]), (6, 11));
+        let (d5, n5) = s.touch(p[5]);
+        assert_eq!((d5, n5), (6, 12));
+        let _cold = s.touch_cold();
+        assert_eq!(s.last_cleared, p[5]);
+        assert_eq!(s.last_rank, s.rank_inclusive(p[6]));
+        // Block 6 sees 7 8 9 3 4 5 and the cold block.
+        assert_eq!(s.touch(p[6]).0, 7);
+        // Out-of-order touch walks in full, then runs on from there.
+        assert_eq!(s.touch(p[0]).0, 10);
+        assert_eq!(s.touch(p[1]).0, 10);
+        assert_eq!(s.last_cleared, p[1]);
+
+        // Compact with `last_cleared == 1`: the compacted position 2
+        // (block 8) must not reuse the stale rank of position 1.
+        let table = s.compaction_table();
+        s.rebuild_compacted();
+        assert_eq!(s.last_cleared, usize::MAX);
+        let (p8, p9, n5) = (
+            table[p[8]] as usize,
+            table[p[9]] as usize,
+            table[n5] as usize,
+        );
+        assert_eq!((p8, p9, n5), (2, 3, 6));
+        // Block 8 sees 9 3 4 5 cold 6 0 1.
+        assert_eq!(s.touch(p8).0, 8);
+        // Block 9 continues the run and sees 3 4 5 cold 6 0 1 8.
+        assert_eq!(s.last_rank, s.rank_inclusive(p9));
+        assert_eq!(s.touch(p9).0, 8);
+        // Block 5 sees cold 6 0 1 8 9.
+        assert_eq!(s.touch(n5).0, 6);
     }
 
     #[test]

@@ -37,15 +37,21 @@ fn arb_requests() -> impl Strategy<Value = Vec<IoRequest>> {
     })
 }
 
-/// Arbitrary span-shaped access batches for `touch_batch`: each batch
-/// covers `span` consecutive blocks starting at `start` (distinct
-/// within the batch, arbitrarily warm or cold across batches).
-fn arb_spans() -> impl Strategy<Value = Vec<(u64, u64)>> {
+/// Arbitrary span-shaped access streams long enough to compact a
+/// `ReuseStack`: runs of 1–16 consecutive blocks over a 96-block space
+/// (arbitrarily warm or cold) until at least 1 200 touches. With at most
+/// 96 live positions, crossing 1 024 positions means at least ⅞ are
+/// dead, so `should_compact` must fire at least once.
+fn arb_compacting_stream() -> impl Strategy<Value = Vec<u64>> {
     proptest::strategy::FnStrategy(|rng: &mut proptest::test_runner::TestRng| {
-        let len = 1 + rng.below(80) as usize;
-        (0..len)
-            .map(|_| (rng.below(120), 1 + rng.below(9)))
-            .collect()
+        let target = 1_200 + rng.below(2_000) as usize;
+        let mut stream = Vec::with_capacity(target + 16);
+        while stream.len() < target {
+            let span = 1 + rng.below(16);
+            let start = rng.below(96 - span + 1);
+            stream.extend(start..start + span);
+        }
+        stream
     })
 }
 
@@ -160,54 +166,47 @@ proptest! {
         prop_assert_eq!(rd.accesses(), stream.len() as u64);
     }
 
-    /// `ReuseStack::touch_batch` is bit-identical to the equivalent
-    /// sequence of `touch`/`touch_cold` calls on arbitrary span-shaped
-    /// batches (distinct blocks within a batch, arbitrary warm/cold mix
-    /// across batches), including across compactions.
+    /// `ReuseStack::touch`/`touch_cold`, relabeled through
+    /// `compaction_table` + `rebuild_compacted` whenever
+    /// `should_compact` fires, yields every access's reuse distance of
+    /// a naive LRU list — including across compactions, of which the
+    /// stream forces at least one.
     #[test]
-    fn reuse_touch_batch_equals_sequential(batches in arb_spans()) {
-        let mut seq = cbs_cache::ReuseStack::new();
-        let mut bat = cbs_cache::ReuseStack::new();
-        let mut seq_pos = std::collections::HashMap::new();
-        let mut bat_pos = std::collections::HashMap::new();
-        let mut dists = Vec::new();
-        for &(start, span) in &batches {
-            let blocks: Vec<u64> = (start..start + span).collect();
-            let mut want: Vec<u64> = Vec::new();
-            for &blk in &blocks {
-                match seq_pos.get(&blk).copied() {
-                    Some(prev) => {
-                        let (d, np) = seq.touch(prev);
-                        want.push(d);
-                        seq_pos.insert(blk, np);
-                    }
-                    None => {
-                        want.push(u64::MAX);
-                        seq_pos.insert(blk, seq.touch_cold());
-                    }
+    fn reuse_stack_matches_naive_lru(stream in arb_compacting_stream()) {
+        let mut stack = cbs_cache::ReuseStack::new();
+        let mut pos = std::collections::HashMap::new();
+        let mut lru: Vec<u64> = Vec::new();
+        let mut compactions = 0u32;
+        for &blk in &stream {
+            let expected = lru.iter().rev().position(|&x| x == blk).map(|d| d as u64);
+            let got = match pos.get(&blk).copied() {
+                Some(prev) => {
+                    let (d, np) = stack.touch(prev);
+                    pos.insert(blk, np);
+                    Some(d)
                 }
+                None => {
+                    pos.insert(blk, stack.touch_cold());
+                    None
+                }
+            };
+            prop_assert_eq!(got, expected, "block {}", blk);
+            if let Some(i) = lru.iter().position(|&x| x == blk) {
+                lru.remove(i);
             }
-            let prevs: Vec<usize> = blocks
-                .iter()
-                .map(|blk| bat_pos.get(blk).copied().unwrap_or(cbs_cache::ReuseStack::COLD))
-                .collect();
-            let first = bat.touch_batch(&prevs, &mut dists);
-            for (i, &blk) in blocks.iter().enumerate() {
-                bat_pos.insert(blk, first + i);
-            }
-            prop_assert_eq!(&dists, &want);
-            prop_assert_eq!(bat.live(), seq.live());
-            prop_assert_eq!(bat.positions(), seq.positions());
-            prop_assert_eq!(bat.should_compact(), seq.should_compact());
-            if bat.should_compact() {
-                let st = seq.compaction_table();
-                for p in seq_pos.values_mut() { *p = st[*p] as usize; }
-                seq.rebuild_compacted();
-                let bt = bat.compaction_table();
-                for p in bat_pos.values_mut() { *p = bt[*p] as usize; }
-                bat.rebuild_compacted();
+            lru.push(blk);
+            prop_assert_eq!(stack.live(), lru.len());
+            if stack.should_compact() {
+                let table = stack.compaction_table();
+                for p in pos.values_mut() {
+                    *p = table[*p] as usize;
+                }
+                stack.rebuild_compacted();
+                prop_assert_eq!(stack.positions(), lru.len());
+                compactions += 1;
             }
         }
+        prop_assert!(compactions >= 1, "no compaction over {} touches", stream.len());
     }
 
     /// Belady's OPT never loses to any online demand policy.

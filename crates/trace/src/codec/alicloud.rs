@@ -18,7 +18,9 @@ use std::io::{BufRead, Write};
 use crate::error::{ParseRecordError, TraceError};
 use crate::{IoRequest, OpKind, Timestamp, VolumeId};
 
-use super::{field, field_bytes, parse_len, parse_len_bytes, parse_u64, parse_u64_bytes};
+use super::{
+    check_extent, field, field_bytes, parse_len, parse_len_bytes, parse_u64, parse_u64_bytes,
+};
 
 /// Parses one AliCloud CSV row into an [`IoRequest`].
 ///
@@ -55,6 +57,7 @@ pub fn parse_record(line: &str) -> Result<IoRequest, ParseRecordError> {
     })?;
     let offset = parse_u64(offset, "offset")?;
     let len = parse_len(length, "length")?;
+    check_extent(offset, len, "length")?;
     let ts = parse_u64(timestamp, "timestamp")?;
 
     Ok(IoRequest::new(
@@ -101,6 +104,7 @@ pub fn parse_record_bytes(line: &[u8]) -> Result<IoRequest, ParseRecordError> {
     };
     let offset = parse_u64_bytes(offset, "offset")?;
     let len = parse_len_bytes(length, "length")?;
+    check_extent(offset, len, "length")?;
     let ts = parse_u64_bytes(timestamp, "timestamp")?;
 
     Ok(IoRequest::new(
@@ -302,6 +306,19 @@ mod tests {
             e,
             ParseRecordError::OutOfRange { name: "length", .. }
         ));
+    }
+
+    #[test]
+    fn extent_past_u64_max_is_out_of_range() {
+        let line = "419,R,18446744073709551515,4096,1";
+        for result in [parse_record(line), parse_record_bytes(line.as_bytes())] {
+            assert!(matches!(
+                result.unwrap_err(),
+                ParseRecordError::OutOfRange { name: "length", .. }
+            ));
+        }
+        // Ending exactly at u64::MAX is still a valid extent.
+        assert!(parse_record("419,R,18446744073709547519,4096,1").is_ok());
     }
 
     #[test]

@@ -308,6 +308,15 @@ fn decode_columns(
         ColumnError::Truncated => corrupt_at(block, "truncated length column"),
         ColumnError::Range => corrupt_at(block, "request length out of range"),
     })?;
+    // Block spans and end offsets downstream rely on `offset + len`
+    // fitting `u64`.
+    if offsets
+        .iter()
+        .zip(lens.iter())
+        .any(|(&off, &len)| off > u64::MAX - u64::from(len))
+    {
+        return Err(corrupt_at(block, "request extent past u64::MAX"));
+    }
 
     if pos != buf.len() {
         return Err(corrupt_at(block, "trailing bytes in block"));
@@ -1127,12 +1136,21 @@ mod tests {
 
     #[test]
     fn extreme_values_roundtrip() {
+        // The largest extents a record may carry: each ends exactly at
+        // `u64::MAX`.
         let reqs = vec![
             IoRequest::new(
                 VolumeId::new(u32::MAX),
                 OpKind::Write,
-                u64::MAX,
+                u64::MAX - u64::from(u32::MAX),
                 u32::MAX,
+                Timestamp::from_micros(u64::MAX),
+            ),
+            IoRequest::new(
+                VolumeId::new(2),
+                OpKind::Read,
+                u64::MAX,
+                0,
                 Timestamp::from_micros(u64::MAX),
             ),
             IoRequest::new(
@@ -1155,6 +1173,48 @@ mod tests {
             .collect::<Result<_, _>>()
             .expect("decode");
         assert_eq!(decoded, reqs);
+    }
+
+    #[test]
+    fn extent_past_u64_max_is_corrupt() {
+        // `offset + len` overflowing `u64` must end in an error from
+        // both readers, never a decoded request.
+        let reqs = vec![
+            IoRequest::new(
+                VolumeId::new(0),
+                OpKind::Read,
+                0,
+                4096,
+                Timestamp::from_micros(1),
+            ),
+            IoRequest::new(
+                VolumeId::new(0),
+                OpKind::Write,
+                u64::MAX - 100,
+                4096,
+                Timestamp::from_micros(2),
+            ),
+        ];
+        let bytes = encode(&reqs, 64);
+        let err = CbtReader::new(&bytes[..])
+            .read_batch()
+            .expect_err("buffered reader accepted an overflowing extent");
+        assert!(
+            matches!(
+                err,
+                CbtError::Corrupt {
+                    block: 0,
+                    detail: "request extent past u64::MAX"
+                }
+            ),
+            "{err}"
+        );
+        let (decoded, err) = drain_slice(&bytes);
+        assert!(decoded.is_empty());
+        assert!(
+            matches!(err, Some(CbtError::Corrupt { block: 0, .. })),
+            "{err:?}"
+        );
     }
 
     /// Drains a slice reader, returning (records decoded, first error).

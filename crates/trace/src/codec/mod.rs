@@ -61,6 +61,23 @@ pub(crate) fn parse_len(text: &str, name: &'static str) -> Result<u32, ParseReco
     })
 }
 
+/// Rejects a request whose byte range `offset..offset + len` runs past
+/// `u64::MAX`, reporting it as `OutOfRange` on the length field `name`:
+/// every block span and end offset downstream relies on the sum fitting.
+pub(crate) fn check_extent(
+    offset: u64,
+    len: u32,
+    name: &'static str,
+) -> Result<(), ParseRecordError> {
+    match offset.checked_add(u64::from(len)) {
+        Some(_) => Ok(()),
+        None => Err(ParseRecordError::OutOfRange {
+            name,
+            text: format!("{len} at offset {offset}"),
+        }),
+    }
+}
+
 // --- byte-slice fast path -------------------------------------------------
 //
 // The parallel decoder parses fields straight out of the input buffer,

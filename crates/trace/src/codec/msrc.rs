@@ -25,7 +25,9 @@ use std::io::{BufRead, Write};
 use crate::error::{ParseRecordError, TraceError};
 use crate::{IoRequest, OpKind, TimeDelta, Timestamp, VolumeId};
 
-use super::{field, field_bytes, parse_len, parse_len_bytes, parse_u64, parse_u64_bytes};
+use super::{
+    check_extent, field, field_bytes, parse_len, parse_len_bytes, parse_u64, parse_u64_bytes,
+};
 
 /// Number of Windows 100 ns ticks per microsecond.
 const TICKS_PER_MICRO: u64 = 10;
@@ -174,6 +176,7 @@ pub fn parse_record(
     })?;
     let offset = parse_u64(offset, "offset")?;
     let len = parse_len(size, "size")?;
+    check_extent(offset, len, "size")?;
     let response_ticks = parse_u64(response, "response_time")?;
 
     let volume = registry.resolve(hostname, disk);
@@ -228,6 +231,7 @@ pub fn parse_record_bytes(
     };
     let offset = parse_u64_bytes(offset, "offset")?;
     let len = parse_len_bytes(size, "size")?;
+    check_extent(offset, len, "size")?;
     let response_ticks = parse_u64_bytes(response, "response_time")?;
 
     let volume = registry.resolve(&String::from_utf8_lossy(hostname), disk);
@@ -555,6 +559,23 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    #[test]
+    fn extent_past_u64_max_is_out_of_range() {
+        let mut reg = VolumeRegistry::new();
+        let line = "1,hm,1,Read,18446744073709551515,4096,5";
+        for result in [
+            parse_record(line, &mut reg),
+            parse_record_bytes(line.as_bytes(), &mut reg),
+        ] {
+            assert!(matches!(
+                result.unwrap_err(),
+                ParseRecordError::OutOfRange { name: "size", .. }
+            ));
+        }
+        // Ending exactly at u64::MAX is still a valid extent.
+        assert!(parse_record("1,hm,1,Read,18446744073709547519,4096,5", &mut reg).is_ok());
     }
 
     #[test]

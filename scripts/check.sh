@@ -21,6 +21,12 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> perfbench self-tests (every benchmark output check passes on tiny runs)"
+# The repository benchmark is a package of its own, outside the
+# workspace: its tiny runs compare every job's outputs with a reference,
+# so a library change that breaks one fails here.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
 
